@@ -32,7 +32,7 @@ REPORTS = 600
 BATCH = 32
 MIN_POSTS = 210
 #: Inputs per block of the instrumented/plain overhead probe.
-PROBE_INPUTS = 100
+PROBE_INPUTS = 30
 
 
 def _seed_base(seed: int) -> int:
@@ -192,27 +192,28 @@ def one_pass(state: dict, work_dir: str, tracer: Tracer = None) -> dict:
 
 
 def measure(seed: int, seconds: float, trace: bool, work_dir: str) -> harness.Outcome:
-    state, setups = harness.repeat_setup(lambda: setup(seed), harness.SETUPS)
+    setups = harness.Setups(lambda: setup(seed), harness.SETUPS)
+    state = setups.state
     state["expected"] = expected_stats(state)
-    gates = [harness.gate_same("set-up determinism", [s["digest"] for s in setups])]
-    setup_s = statistics.median(s["setup_s"] for s in setups)
 
     tracer = Tracer()
     untraced, traced = (
         reps[0] for reps in harness.measure_passes(
-            1, lambda k, t: one_pass(state, work_dir, t), seconds, trace, tracer, MIN_POSTS))
+            1, lambda k, t: one_pass(state, work_dir, t), seconds, trace, tracer, MIN_POSTS,
+            between=setups.extra))
     passes = untraced + traced
+    gates = [setups.gate()]
     gates.append(harness.gate_same(
         "daemon ranked list across passes", [r["digest"] for r in passes]))
     gates.extend(r["stats_gate"] for r in passes)
     gates.append(None if all(r["n_runs"] == REPORTS for r in passes)
                  else "daemon store did not commit every report")
 
-    isolate_s = statistics.median(r["wall"] for r in untraced)
+    isolate_s = harness.wall_of([untraced])
     posts_ms = [1000 * x for r in untraced for x in r["latencies"]]
     outcome = harness.Outcome(
         end_to_end={
-            "setup_s": setup_s,
+            "setup_s": setups.median("setup_s"),
             "isolate_s": isolate_s,
             "runs_per_s": REPORTS / isolate_s,
             "overhead_x": statistics.median(r["overhead"] for r in untraced),
@@ -235,8 +236,8 @@ def measure(seed: int, seconds: float, trace: bool, work_dir: str) -> harness.Ou
     reports_in = REPORTS * len(untraced)
     traced_wall = statistics.median(r["wall"] for r in traced)
     outcome.per_layer = {
-        "instrument.build_s": statistics.median(s["build_s"] for s in setups),
-        "serve.encode_batch_s": statistics.median(s["encode_s"] for s in setups),
+        "instrument.build_s": setups.median("build_s"),
+        "serve.encode_batch_s": setups.median("encode_s"),
         "serve.body_bytes_per_report": sum(len(b) for b, _ in state["bodies"]) / REPORTS,
         "serve.ingest_body_s": layers.get("serve.ingest_body", 0.0),
         "serve.ingest_body_p50_ms": harness.percentile(ingest_ms, 50),

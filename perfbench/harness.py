@@ -8,6 +8,7 @@ the smoke test can feed them mismatched inputs.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import os
@@ -18,7 +19,7 @@ import statistics
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: End-to-end metrics (tracing off): name -> unit.
 END_TO_END = {
@@ -67,8 +68,6 @@ PER_LAYER = {
     "post_p50_ms": "ms",
     "post_p95_ms": "ms",
     "post_count": "count",
-    "harness.parallel.collect_s": "s",
-    "store.open_s": "s",
     "core.engine.store_stats_s": "s",
     "core.engine.score_stats_s": "s",
     "store.load_merged_s": "s",
@@ -167,77 +166,117 @@ class Outcome:
         return [g for g in self.gates if g is not None]
 
 
-def repeat_setup(make: Callable[[], dict], times: int):
-    """Set up ``times`` times; return the last state and every set-up's summary.
+class Setups:
+    """A workload's set-ups: one before timing, the rest spread across the run.
 
-    A summary is the state's digest and timings (every key ending ``_s``).
-    Each state is dropped before the next set-up starts, so peak memory
-    holds one set-up, as a user's process would.
+    ``make()`` builds a state.  The first state is the one the passes use;
+    :attr:`extra` holds ``times - 1`` callables for :func:`cycles` to run
+    between passes, so the repeats see the same host phases as the timed
+    passes instead of one stretch at the start.  Each extra state is
+    reduced to its summary -- the digest and every timing (keys ending
+    ``_s``) -- and dropped at once.
     """
-    summaries: List[dict] = []
-    state = None
-    for _ in range(times):
-        state = None  # release the previous set-up first
-        state = make()
-        summaries.append({k: v for k, v in state.items() if k == "digest" or k.endswith("_s")})
-    return state, summaries
+
+    def __init__(self, make: Callable[[], dict], times: int) -> None:
+        self.make = make
+        gc.collect()
+        self.state = make()
+        self.summaries: List[dict] = [self._summary(self.state)]
+        self.extra = [self._another] * (times - 1)
+
+    @staticmethod
+    def _summary(state: dict) -> dict:
+        return {k: v for k, v in state.items() if k == "digest" or k.endswith("_s")}
+
+    def _another(self) -> None:
+        gc.collect()
+        self.summaries.append(self._summary(self.make()))
+
+    def median(self, key: str) -> float:
+        return statistics.median(s[key] for s in self.summaries)
+
+    def gate(self) -> Optional[str]:
+        return gate_same("set-up determinism", [s["digest"] for s in self.summaries])
+
+
+def _fresh(run_pass: Callable[[int], dict], k: int) -> dict:
+    """One pass, after a full collection.
+
+    Every pass starts with empty young generations, so the garbage
+    collections inside it fall at the same allocations each time instead
+    of wherever the previous pass left the counters.
+    """
+    gc.collect()
+    return run_pass(k)
 
 
 def cycles(sets: int, run_pass: Callable[[int], dict], seconds: float,
-           min_ops: int = 0) -> List[List[dict]]:
-    """Run every input set in turn until ``seconds`` pass and ``min_ops`` ran.
+           min_ops: int = 0, between: Sequence[Callable[[], None]] = ()) -> List[List[dict]]:
+    """Run the input sets round-robin for ``seconds`` of timed wall.
 
-    Whole cycles only, so every set has the same number of repeats and a
-    faster program refines the medians instead of changing the inputs.
-    One pass over set 0 runs first and is dropped, so lazy imports and
-    cold caches are paid before timing starts.  Returns
-    ``results[set][repeat]``.
+    Only the passes' own walls count against ``seconds``: the probes,
+    archive writes and set-ups between passes are not charged.  Every set
+    runs at least once; passes then go on in the same order until the
+    walls add up to ``seconds`` and ``min_ops`` operations ran.  A faster
+    program therefore gets more repeats of the same inputs, never other
+    inputs.  ``between`` holds callables (extra set-ups) run once each at
+    even fractions of the budget.  One pass over set 0 runs first and is
+    dropped, so lazy imports and cold caches are paid before timing
+    starts.  Returns ``results[set][repeat]``.
     """
-    run_pass(0)
+    _fresh(run_pass, 0)
     results: List[List[dict]] = [[] for _ in range(sets)]
-    start = time.perf_counter()
-    ops = 0
-    while True:
-        for k in range(sets):
-            result = run_pass(k)
-            ops += result.get("ops", 0)
-            results[k].append(result)
-        if time.perf_counter() - start >= seconds and ops >= min_ops:
-            return results
+    pending = list(between)
+    slots = len(pending) + 1
+    timed, ops, done = 0.0, 0, 0
+    while done < sets or timed < seconds or ops < min_ops:
+        result = _fresh(run_pass, done % sets)
+        results[done % sets].append(result)
+        done += 1
+        timed += result["wall"]
+        ops += result.get("ops", 0)
+        while pending and timed >= seconds * (slots - len(pending)) / slots:
+            pending.pop(0)()
+    for extra in pending:
+        extra()
+    return results
 
 
 def measure_passes(sets: int, run_pass: Callable, seconds: float, trace: bool, tracer,
-                   min_ops: int = 0):
+                   min_ops: int = 0, between: Sequence[Callable[[], None]] = ()):
     """The untraced passes, and the traced ones for the gates and the split.
 
     ``run_pass(k, tracer)`` runs set ``k``, traced when ``tracer`` is not
-    None.  Without ``trace``, cycles of untraced passes fill ``seconds``
-    and one traced pass over set 0 follows, only for the gates.  With
-    ``trace``, each set runs untraced and then traced, back to back, for
-    half of ``seconds`` (the pair costs twice as much), so both halves see
-    the same host and their ratio is the cost of tracing.  Returns
-    ``(untraced, traced)``, each ``[set][repeat]``.
+    None.  Without ``trace``, untraced passes fill ``seconds`` and one
+    traced pass over set 0 follows, only for the gates.  With ``trace``,
+    each set runs untraced and then traced, back to back, until the pairs
+    fill ``seconds``, so both halves see the same host and their ratio is
+    the cost of tracing.  Returns ``(untraced, traced)``, each
+    ``[set][repeat]``.
     """
     if not trace:
-        untraced = cycles(sets, lambda k: run_pass(k, None), seconds, min_ops)
-        return untraced, [[run_pass(0, tracer)]]
+        untraced = cycles(sets, lambda k: run_pass(k, None), seconds, min_ops, between)
+        return untraced, [[_fresh(lambda k: run_pass(k, tracer), 0)]]
 
     def pair(k: int) -> dict:
         plain = run_pass(k, None)
-        return {"untraced": plain, "traced": run_pass(k, tracer), "ops": plain["ops"]}
+        traced = _fresh(lambda j: run_pass(j, tracer), k)
+        return {"untraced": plain, "traced": traced, "ops": plain["ops"],
+                "wall": plain["wall"] + traced["wall"]}
 
-    pairs = cycles(sets, pair, seconds / 2, min_ops)
+    pairs = cycles(sets, pair, seconds, min_ops, between)
     return ([[p["untraced"] for p in reps] for reps in pairs],
             [[p["traced"] for p in reps] for reps in pairs])
 
 
 def wall_of(results: List[List[dict]]) -> float:
-    """Median wall of one pass, over every set and repeat.
+    """Wall of one pass: each set's median over its repeats, averaged over sets.
 
-    A median rather than a mean, so a stretch of load from elsewhere on
-    the host that slows a minority of the passes does not move it.
+    The median over repeats keeps a burst of load from elsewhere on the
+    host out; the mean over sets weighs every input set the seed drew
+    once, however many repeats it got.
     """
-    return statistics.median(r["wall"] for reps in results for r in reps)
+    return statistics.fmean(statistics.median(r["wall"] for r in reps) for reps in results)
 
 
 def layer_medians(breakdowns: list) -> Dict[str, float]:
@@ -260,6 +299,11 @@ def plain_entry(subject) -> Callable:
     return namespace[subject.entry]
 
 
+def trial_input(subject, trial_seed: int):
+    """The input of trial ``trial_seed``, derived as ``run_one_trial`` derives it."""
+    return subject.generate_input(random.Random(trial_seed * 2654435761 % (2 ** 31)))
+
+
 def time_entry(fn: Callable, program_input) -> float:
     """Wall of one entry call; a crash (a seeded bug firing) still counts."""
     from repro.subjects import base as subject_base
@@ -275,40 +319,44 @@ def time_entry(fn: Callable, program_input) -> float:
     return wall
 
 
-def overhead_block(subject, program, plain: Callable, plan, seeds: Sequence[int]) -> float:
-    """Instrumented entry time over plain entry time on one block of inputs.
+def overhead_block(subject, program, plain: Callable, plan,
+                   trial_seeds: Sequence[int]) -> Tuple[float, float]:
+    """Instrumented and plain entry seconds over the same trials' inputs.
 
-    Each input is generated twice from the same RNG seed (the entry may
-    mutate it), and the two variants alternate which runs first.  A
-    workload runs one block after each timed pass and reports the median
-    block, so the ratio samples the host across the whole run instead of
-    one stretch of it.
+    Each trial's input is generated twice (the entry may mutate it), the
+    instrumented run samples as that trial did in ``run_one_trial``, and
+    the two variants alternate which runs first.  Returns
+    ``(instrumented_s, plain_s)``.
     """
     entry = program.func(subject.entry)
     instrumented = uninstrumented = 0.0
-    for i, seed in enumerate(seeds):
+    for i, seed in enumerate(trial_seeds):
         for variant in ((0, 1) if i % 2 == 0 else (1, 0)):
-            program_input = subject.generate_input(random.Random(seed))
+            program_input = trial_input(subject, seed)
             if variant == 0:
-                program.begin_run(plan, seed=seed)
+                program.begin_run(plan, seed=seed + 1)
                 instrumented += time_entry(entry, program_input)
                 program.end_run()
             else:
                 uninstrumented += time_entry(plain, program_input)
-    return instrumented / uninstrumented
+    return instrumented, uninstrumented
 
 
 def next_overhead_block(state: dict, first_seed: int, size: int) -> float:
-    """Run the next of ``PROBE_BLOCKS`` fixed blocks of ``size`` probe inputs.
+    """The overhead ratio on the next of ``PROBE_BLOCKS`` fixed blocks of trials.
 
-    ``state`` carries the workload's ``subject``, ``program``, ``plain``
-    twin, ``plan`` and a ``blocks_run`` counter; block ``k`` covers the
-    seeds ``first_seed + k * size`` onwards.
+    A workload runs one block after each timed pass, outside its wall, and
+    reports the median ratio, so the ratio samples the host across the
+    whole run.  ``state`` carries the workload's ``subject``, ``program``,
+    ``plain`` twin, ``plan`` and a ``blocks_run`` counter; block ``k``
+    covers the trial seeds ``first_seed + k * size`` onwards.
     """
     k = state["blocks_run"] % PROBE_BLOCKS
     state["blocks_run"] += 1
     seeds = range(first_seed + k * size, first_seed + (k + 1) * size)
-    return overhead_block(state["subject"], state["program"], state["plain"], state["plan"], seeds)
+    instrumented, plain = overhead_block(
+        state["subject"], state["program"], state["plain"], state["plan"], seeds)
+    return instrumented / plain
 
 
 # ----------------------------------------------------------------------

@@ -10,18 +10,21 @@ from __future__ import annotations
 
 import contextlib
 import os
-import random
 import statistics
 import time
 from collections import Counter
-from typing import Callable
 
 from perfbench import harness
 from perfbench.tracing import Tracer, breakdown, reconcile, shadow, trace_calls
 
-#: Trials per pass, and distinct input sets (passes) per cycle.
+#: Trials per pass, distinct input sets, the first sets a traced run
+#: covers (each as an untraced and a traced pass), and trials of each
+#: untraced pass re-run by the overhead probe (a traced pass re-runs all
+#: of them).
 TRIALS = 40
-SETS = 7
+SETS = 6
+TRACED_SETS = 2
+PROBE_INPUTS = 10
 RATE = 0.01
 
 
@@ -49,45 +52,6 @@ def setup(seed: int) -> dict:
         "setup_s": setup_s,
         "digest": program.table.signature(),
     }
-
-
-class EntryClock:
-    """Times an instrumented entry in place and replays its inputs plain.
-
-    :meth:`generate` wraps ``subject.generate_input`` to keep each input's
-    RNG state, and :meth:`entry` wraps the entry callable to sum its wall
-    -- one clock read per trial.  :meth:`plain_seconds` then regenerates
-    exactly those inputs and times the uninstrumented entry on them.
-    """
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-        self.rng_states: list = []
-
-    def generate(self, generate_input: Callable) -> Callable:
-        def generate_and_keep(rng):
-            self.rng_states.append(rng.getstate())
-            return generate_input(rng)
-
-        return generate_and_keep
-
-    def entry(self, fn: Callable) -> Callable:
-        def timed(program_input):
-            start = time.perf_counter()
-            try:
-                return fn(program_input)
-            finally:
-                self.seconds += time.perf_counter() - start
-
-        return timed
-
-    def plain_seconds(self, subject, plain: Callable) -> float:
-        total = 0.0
-        for state in self.rng_states:
-            rng = random.Random()
-            rng.setstate(state)
-            total += harness.time_entry(plain, subject.generate_input(rng))
-        return total
 
 
 def _traced(stack: contextlib.ExitStack, state: dict, tracer: Tracer, engine) -> None:
@@ -118,32 +82,30 @@ def _traced(stack: contextlib.ExitStack, state: dict, tracer: Tracer, engine) ->
 
 
 def one_pass(state: dict, k: int, tracer: Tracer = None, work_dir: str = None) -> dict:
-    """Collect set ``k`` and analyse it; time the entry calls on the way.
+    """Collect set ``k`` and analyse it, then probe the overhead on its trials.
 
-    An :class:`EntryClock` runs in every pass, traced or not: a clock read
-    per trial, against tens of milliseconds of trial.  Untraced passes
-    then time the plain entry on the same inputs.
+    The probe re-runs trials of the pass, instrumented and plain, outside
+    its wall: ``PROBE_INPUTS`` of them after an untraced pass, all of them
+    after a traced one, whose plain seconds are ``subjects.body_s``.
     """
     from repro.core.engine import AnalysisEngine
     from repro.harness.runner import run_trials
 
     subject, program = state["subject"], state["program"]
+    base = _trial_base(state["seed"], k)
     engine = AnalysisEngine(jobs=1)
-    clock = EntryClock()
     with contextlib.ExitStack() as stack:
-        func = program.func
-        shadow(stack, subject, "generate_input", clock.generate(subject.generate_input))
-        shadow(stack, program, "func", lambda name: clock.entry(func(name)))
         root = None
         if tracer is not None:
             _traced(stack, state, tracer, engine)
             root = stack.enter_context(tracer.span("pass"))
         start = time.perf_counter()
-        reports, truth = run_trials(
-            subject, program, TRIALS, state["plan"], seed=_trial_base(state["seed"], k)
-        )
+        reports, truth = run_trials(subject, program, TRIALS, state["plan"], seed=base)
         analysis = engine.analyze_reports(reports, truth)
         wall = time.perf_counter() - start
+    probed = TRIALS if tracer is not None else PROBE_INPUTS
+    instrumented_s, plain_s = harness.overhead_block(
+        subject, program, state["plain"], state["plan"], range(base, base + probed))
     return {
         "wall": wall,
         "ops": TRIALS,
@@ -152,17 +114,20 @@ def one_pass(state: dict, k: int, tracer: Tracer = None, work_dir: str = None) -
         "rounds": analysis.elimination.iterations,
         "bytes_per_run": _archive_bytes_per_run(analysis, work_dir) if work_dir else None,
         "root": root.id if root is not None else None,
-        "entry_s": clock.seconds,
-        "body_s": clock.plain_seconds(subject, state["plain"]) if tracer is None else None,
+        "overhead": instrumented_s / plain_s,
+        "body_s": plain_s,
     }
 
 
 def _count_helpers(state: dict, k: int):
-    """One pass with counting-only wrappers on the Runtime instance.
+    """Set ``k`` collected and analysed with counting-only wrappers on the Runtime.
 
-    Returns the counts and the pass's ranked-list digest.
+    Returns the counts and the ranked-list digest.
     """
-    program = state["program"]
+    from repro.core.engine import AnalysisEngine
+    from repro.harness.runner import run_trials
+
+    subject, program = state["subject"], state["program"]
     runtime = program.runtime
     counts: Counter = Counter()
     with contextlib.ExitStack() as stack:
@@ -190,8 +155,10 @@ def _count_helpers(state: dict, k: int):
         shadow(stack, runtime, "ret", count_ret)
         shadow(stack, runtime, "pairs", count_pairs)
         shadow(stack, program, "end_run", count_end_run)
-        result = one_pass(state, k)
-    return counts, result["digest"]
+        reports, truth = run_trials(
+            subject, program, TRIALS, state["plan"], seed=_trial_base(state["seed"], k))
+        analysis = AnalysisEngine(jobs=1).analyze_reports(reports, truth)
+    return counts, harness.ranked_digest(analysis)
 
 
 def _archive_bytes_per_run(analysis, work_dir: str) -> float:
@@ -205,24 +172,20 @@ def _archive_bytes_per_run(analysis, work_dir: str) -> float:
 
 
 #: Set-ups per run: a moss build is a tenth of a second, so take more of them.
-SETUPS = 3 * harness.SETUPS
+SETUPS = 5 * harness.SETUPS
 
 
 def measure(seed: int, seconds: float, trace: bool, work_dir: str) -> harness.Outcome:
-    state, setups = harness.repeat_setup(lambda: setup(seed), SETUPS)
-    gates = [harness.gate_same("set-up determinism", [s["digest"] for s in setups])]
-    setup_s = statistics.median(s["setup_s"] for s in setups)
+    setups = harness.Setups(lambda: setup(seed), SETUPS)
+    state = setups.state
 
     tracer = Tracer()
     untraced, traced = harness.measure_passes(
-        SETS // 2 if trace else SETS,
+        TRACED_SETS if trace else SETS,
         lambda k, t: one_pass(state, k, t, work_dir=None if t is not None else work_dir),
-        seconds, trace, tracer)
+        seconds, trace, tracer, between=setups.extra)
+    gates = [setups.gate()]
     state["digests"] = [reps[0]["digest"] for reps in untraced]
-    gates.extend(
-        harness.gate_same(f"moss set {k} ranked list across repeats", [r["digest"] for r in reps])
-        for k, reps in enumerate(untraced)
-    )
     runs = [r for reps in untraced for r in reps]
     isolate_s = harness.wall_of(untraced)
     gates.extend(
@@ -232,12 +195,10 @@ def measure(seed: int, seconds: float, trace: bool, work_dir: str) -> harness.Ou
     )
     outcome = harness.Outcome(
         end_to_end={
-            "setup_s": setup_s,
+            "setup_s": setups.median("setup_s"),
             "isolate_s": isolate_s,
             "runs_per_s": TRIALS / isolate_s,
-            # Per pass, then the median: a burst of load elsewhere on the
-            # host moves one pass's ratio, not the result.
-            "overhead_x": statistics.median(r["entry_s"] / r["body_s"] for r in runs),
+            "overhead_x": statistics.median(r["overhead"] for r in runs),
             "store_bytes_per_run": statistics.median(r["bytes_per_run"] for r in runs),
             "peak_rss_mb": harness.peak_rss_mb(),
         },
@@ -245,6 +206,7 @@ def measure(seed: int, seconds: float, trace: bool, work_dir: str) -> harness.Ou
         attempted=sum(r["ops"] for r in runs),
         failed=0,
         gates=gates,
+        notes={"passes": len(runs)},
     )
     if not trace:
         return outcome
@@ -253,8 +215,7 @@ def measure(seed: int, seconds: float, trace: bool, work_dir: str) -> harness.Ou
     splits = [breakdown(tracer.spans, r["root"]) for _, r in passes]
     gates.extend(reconcile(b) for b in splits)
     layers = harness.layer_medians(splits)
-    body_of_set = [statistics.median(r["body_s"] for r in reps) for reps in untraced]
-    body_s = statistics.median(body_of_set[k] for k, _ in passes)
+    body_s = statistics.median(r["body_s"] for _, r in passes)
     entry_s = layers.get("instrument.entry", 0.0)
     counts, counted_digest = _count_helpers(state, 0)
     gates.append(harness.gate_same("moss ranked list, plain vs counting wrappers",
@@ -262,7 +223,7 @@ def measure(seed: int, seconds: float, trace: bool, work_dir: str) -> harness.Ou
     opportunities = counts["branch"] + counts["ret"] + counts["operands"]
     traced_wall = harness.wall_of(traced)
     outcome.per_layer = {
-        "instrument.build_s": statistics.median(s["build_s"] for s in setups),
+        "instrument.build_s": setups.median("build_s"),
         "subjects.generate_input_s": layers.get("subjects.generate_input", 0.0),
         "subjects.oracle_s": layers.get("subjects.oracle", 0.0),
         "instrument.run_lifecycle_s": layers.get("instrument.run_lifecycle", 0.0),

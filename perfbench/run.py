@@ -3,7 +3,7 @@
 
 From the repository root::
 
-    python3 perfbench/run.py --workload moss-collect --seed 0 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload moss-collect --seed 0 --seconds 20 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics, measured with tracing off;
 ``--trace 1`` prints the per-layer metrics of a traced run and writes its
@@ -31,7 +31,7 @@ SRC = os.path.join(ROOT, "src")
 WORK = os.path.join(ROOT, ".perfbench_work")
 OUT = os.path.join(ROOT, ".perfbench_out")
 
-WORKLOADS = ("moss-collect", "daemon-ingest", "store-analyze")
+WORKLOADS = ("moss-collect", "daemon-ingest")
 
 
 def parse_args(argv=None) -> argparse.Namespace:

@@ -20,7 +20,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
-from perfbench import daemon_ingest, harness, moss_collect, run, store_analyze  # noqa: E402
+from perfbench import daemon_ingest, harness, moss_collect, run  # noqa: E402
 from perfbench.tracing import Span, Tracer, breakdown, reconcile  # noqa: E402
 
 
@@ -31,12 +31,10 @@ def tiny(monkeypatch):
     monkeypatch.setattr(moss_collect, "SETUPS", 1)
     monkeypatch.setattr(moss_collect, "TRIALS", 4)
     monkeypatch.setattr(moss_collect, "SETS", 2)
+    monkeypatch.setattr(moss_collect, "PROBE_INPUTS", 2)
     monkeypatch.setattr(daemon_ingest, "REPORTS", 110)
     monkeypatch.setattr(daemon_ingest, "BATCH", 1)
     monkeypatch.setattr(daemon_ingest, "PROBE_INPUTS", 10)
-    monkeypatch.setattr(store_analyze, "RUNS", 120)
-    monkeypatch.setattr(store_analyze, "CHUNK", 60)
-    monkeypatch.setattr(store_analyze, "PROBE_INPUTS", 10)
 
 
 def _run(capsys, workload: str, trace: int):

@@ -9,7 +9,8 @@ One closed-loop client on the main thread POSTs every batch, each on a
 fresh connection as the repo's uploader does; the window ends with
 ``flush()`` and one ``analyze_store`` to the ranked list.
 ``FeedbackServer.close()`` -- with its 0.5 s ``serve_forever`` poll -- is
-timed apart, as ``serve.close_s``.
+timed apart, as ``serve.close_s``, on a thread of its own while the
+overhead probe runs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import os
 import shutil
 import statistics
 import tempfile
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -152,6 +154,13 @@ def one_pass(state: dict, work_dir: str, tracer: Tracer = None) -> dict:
     url = f"{server.url}/reports"
     latencies, bad, fsyncs = [], 0, [0]
     root = None
+    closed = {}
+
+    def close() -> None:
+        closing = time.perf_counter()
+        server.close()
+        closed["s"] = time.perf_counter() - closing
+
     try:
         with contextlib.ExitStack() as stack:
             if tracer is not None:
@@ -169,10 +178,16 @@ def one_pass(state: dict, work_dir: str, tracer: Tracer = None) -> dict:
             written = harness.bytes_written() - written
             analysis = engine.analyze_store(store)
             wall = time.perf_counter() - start
-    finally:
-        closing = time.perf_counter()
-        server.close()
-        close_s = time.perf_counter() - closing
+    except BaseException:
+        close()
+        raise
+    # close() mostly waits out the accept loop's poll; the overhead probe,
+    # which touches neither the server nor the store, runs meanwhile.
+    closer = threading.Thread(target=close, name="perfbench-close")
+    closer.start()
+    overhead = None if tracer is not None else harness.next_overhead_block(
+        state, _seed_base(state["seed"]) + REPORTS, PROBE_INPUTS)
+    closer.join()
     stats_gate = harness.gate_stats_equal(
         "daemon store stats vs local reports", store.sufficient_stats(), state["expected"]
     )
@@ -184,9 +199,8 @@ def one_pass(state: dict, work_dir: str, tracer: Tracer = None) -> dict:
         "digest": harness.ranked_digest(analysis),
         "kept": analysis.pruning.n_kept, "rounds": analysis.elimination.iterations,
         "stats_gate": stats_gate, "bytes_per_run": shard_bytes / n_runs, "n_runs": n_runs,
-        "close_s": close_s, "written": written, "fsyncs": fsyncs[0],
-        "overhead": None if tracer is not None else harness.next_overhead_block(
-            state, _seed_base(state["seed"]) + REPORTS, PROBE_INPUTS),
+        "close_s": closed["s"], "written": written, "fsyncs": fsyncs[0],
+        "overhead": overhead,
         "root": root.id if root is not None else None,
     }
 
@@ -213,7 +227,7 @@ def measure(seed: int, seconds: float, trace: bool, work_dir: str) -> harness.Ou
     posts_ms = [1000 * x for r in untraced for x in r["latencies"]]
     outcome = harness.Outcome(
         end_to_end={
-            "setup_s": setups.median("setup_s"),
+            "setup_s": setups.scaled_median("setup_s"),
             "isolate_s": isolate_s,
             "runs_per_s": REPORTS / isolate_s,
             "overhead_x": statistics.median(r["overhead"] for r in untraced),
@@ -224,7 +238,8 @@ def measure(seed: int, seconds: float, trace: bool, work_dir: str) -> harness.Ou
         attempted=sum(r["ops"] for r in passes),
         failed=sum(r["bad"] for r in passes),
         gates=gates,
-        notes={"posts": len(posts_ms), "passes": len(untraced)},
+        notes={"posts": len(posts_ms), "passes": len(untraced),
+               **harness.host_notes(untraced, setups)},
     )
     if not trace:
         return outcome
@@ -263,7 +278,7 @@ def measure(seed: int, seconds: float, trace: bool, work_dir: str) -> harness.Ou
         "core.elimination.rounds": statistics.median(r["rounds"] for r in traced),
         "residual_s": statistics.median(b.residual_s for b in splits),
         "trace.wall_s": traced_wall,
-        "trace.overhead_x": traced_wall / isolate_s,
+        "trace.overhead_x": traced_wall / harness.wall_of([untraced], scaled=False),
     }
     outcome.trace = {"spans": tracer.spans, "passes": [r["root"] for r in traced]}
     return outcome

@@ -173,41 +173,48 @@ class Setups:
     :attr:`extra` holds ``times - 1`` callables for :func:`cycles` to run
     between passes, so the repeats see the same host phases as the timed
     passes instead of one stretch at the start.  Each extra state is
-    reduced to its summary -- the digest and every timing (keys ending
-    ``_s``) -- and dropped at once.
+    reduced to its summary -- the digest, every timing (keys ending
+    ``_s``) and the host-speed sample ``ref`` -- and dropped at once.
     """
 
     def __init__(self, make: Callable[[], dict], times: int) -> None:
         self.make = make
-        gc.collect()
-        self.state = make()
-        self.summaries: List[dict] = [self._summary(self.state)]
+        self.summaries: List[dict] = []
+        self.state = self._another()
         self.extra = [self._another] * (times - 1)
 
-    @staticmethod
-    def _summary(state: dict) -> dict:
-        return {k: v for k, v in state.items() if k == "digest" or k.endswith("_s")}
-
-    def _another(self) -> None:
-        gc.collect()
-        self.summaries.append(self._summary(self.make()))
+    def _another(self) -> dict:
+        state = _fresh(lambda _: self.make(), 0)
+        self.summaries.append(
+            {k: v for k, v in state.items() if k in ("digest", "ref") or k.endswith("_s")})
+        return state
 
     def median(self, key: str) -> float:
+        """Median of one timing over the set-ups, as measured."""
         return statistics.median(s[key] for s in self.summaries)
+
+    def scaled_median(self, key: str) -> float:
+        """Median of one timing over the set-ups, each scaled to the reference host."""
+        return statistics.median(scale_to_reference(s[key], s["ref"]) for s in self.summaries)
 
     def gate(self) -> Optional[str]:
         return gate_same("set-up determinism", [s["digest"] for s in self.summaries])
 
 
 def _fresh(run_pass: Callable[[int], dict], k: int) -> dict:
-    """One pass, after a full collection.
+    """One pass, after a full collection, between two host-speed samples.
 
     Every pass starts with empty young generations, so the garbage
     collections inside it fall at the same allocations each time instead
-    of wherever the previous pass left the counters.
+    of wherever the previous pass left the counters.  The result gains
+    ``ref``: the mean of :func:`host_reference` just before and just after
+    the pass.
     """
     gc.collect()
-    return run_pass(k)
+    before = host_reference()
+    result = run_pass(k)
+    result["ref"] = (before + host_reference()) / 2
+    return result
 
 
 def cycles(sets: int, run_pass: Callable[[int], dict], seconds: float,
@@ -224,13 +231,13 @@ def cycles(sets: int, run_pass: Callable[[int], dict], seconds: float,
     dropped, so lazy imports and cold caches are paid before timing
     starts.  Returns ``results[set][repeat]``.
     """
-    _fresh(run_pass, 0)
+    run_pass(0)
     results: List[List[dict]] = [[] for _ in range(sets)]
     pending = list(between)
     slots = len(pending) + 1
     timed, ops, done = 0.0, 0, 0
     while done < sets or timed < seconds or ops < min_ops:
-        result = _fresh(run_pass, done % sets)
+        result = run_pass(done % sets)
         results[done % sets].append(result)
         done += 1
         timed += result["wall"]
@@ -254,35 +261,97 @@ def measure_passes(sets: int, run_pass: Callable, seconds: float, trace: bool, t
     the cost of tracing.  Returns ``(untraced, traced)``, each
     ``[set][repeat]``.
     """
+    def plain(k: int) -> dict:
+        return _fresh(lambda j: run_pass(j, None), k)
+
     if not trace:
-        untraced = cycles(sets, lambda k: run_pass(k, None), seconds, min_ops, between)
+        untraced = cycles(sets, plain, seconds, min_ops, between)
         return untraced, [[_fresh(lambda k: run_pass(k, tracer), 0)]]
 
     def pair(k: int) -> dict:
-        plain = run_pass(k, None)
+        untraced = plain(k)
         traced = _fresh(lambda j: run_pass(j, tracer), k)
-        return {"untraced": plain, "traced": traced, "ops": plain["ops"],
-                "wall": plain["wall"] + traced["wall"]}
+        return {"untraced": untraced, "traced": traced, "ops": untraced["ops"],
+                "wall": untraced["wall"] + traced["wall"]}
 
     pairs = cycles(sets, pair, seconds, min_ops, between)
     return ([[p["untraced"] for p in reps] for reps in pairs],
             [[p["traced"] for p in reps] for reps in pairs])
 
 
-def wall_of(results: List[List[dict]]) -> float:
+def wall_of(results: List[List[dict]], scaled: bool = True) -> float:
     """Wall of one pass: each set's median over its repeats, averaged over sets.
 
+    Each pass's wall is first scaled to the reference host by the
+    :func:`host_reference` samples around it, unless ``scaled`` is false.
     The median over repeats keeps a burst of load from elsewhere on the
     host out; the mean over sets weighs every input set the seed drew
     once, however many repeats it got.
     """
-    return statistics.fmean(statistics.median(r["wall"] for r in reps) for reps in results)
+    def wall(r: dict) -> float:
+        return scale_to_reference(r["wall"], r["ref"]) if scaled else r["wall"]
+
+    return statistics.fmean(statistics.median(wall(r) for r in reps) for reps in results)
+
+
+def host_notes(passes: Sequence[dict], setups: "Setups") -> Dict[str, float]:
+    """The run's walls as measured, and the host speed they were scaled by."""
+    refs = [r["ref"] for r in passes] + [s["ref"] for s in setups.summaries]
+    return {
+        "isolate_wall_s": statistics.median(r["wall"] for r in passes),
+        "setup_wall_s": setups.median("setup_s"),
+        "host_reference_ms": 1000 * statistics.median(refs),
+        "host_speed": REFERENCE_S / statistics.median(refs),
+    }
 
 
 def layer_medians(breakdowns: list) -> Dict[str, float]:
     """Median per-pass self time for each span name (0 when a pass lacked it)."""
     names = {n for b in breakdowns for n in b.self_s}
     return {n: statistics.median(b.self_s.get(n, 0.0) for b in breakdowns) for n in names}
+
+
+# ----------------------------------------------------------------------
+# Host speed
+# ----------------------------------------------------------------------
+#: Seconds :func:`host_reference` reads on the 2-vCPU guest this was
+#: built on when nothing else on the host slows it.
+REFERENCE_S = 0.008
+
+
+def _reference_loop() -> int:
+    """Fixed pure-Python work, independent of the program under test."""
+    counts: Dict[int, int] = {}
+    kept: List[int] = []
+    total = 0
+    for i in range(30000):
+        key = i * 7919 % 1021
+        counts[key] = counts.get(key, 0) + 1
+        if key & 1:
+            kept.append(key)
+        else:
+            total += len(str(key))
+    kept.sort()
+    return total + len(kept) + len(counts)
+
+
+def host_reference() -> float:
+    """How fast the host runs Python right now: median wall of three reference loops.
+
+    On a shared host the same pass can take twice as long in phases
+    lasting up to minutes, and this loop slows with it (see NOTES.md).
+    """
+    walls = []
+    for _ in range(3):
+        start = time.perf_counter()
+        _reference_loop()
+        walls.append(time.perf_counter() - start)
+    return statistics.median(walls)
+
+
+def scale_to_reference(wall: float, reference: float) -> float:
+    """``wall`` scaled to the reference host: as if ``host_reference`` read ``REFERENCE_S``."""
+    return wall * REFERENCE_S / reference
 
 
 # ----------------------------------------------------------------------

@@ -81,12 +81,15 @@ def _traced(stack: contextlib.ExitStack, state: dict, tracer: Tracer, engine) ->
     trace_calls(stack, tracer, engine, "score_stats", "core.engine.score_stats")
 
 
-def one_pass(state: dict, k: int, tracer: Tracer = None, work_dir: str = None) -> dict:
+def one_pass(state: dict, k: int, tracer: Tracer = None, work_dir: str = None,
+             probe: int = 0) -> dict:
     """Collect set ``k`` and analyse it, then probe the overhead on its trials.
 
-    The probe re-runs trials of the pass, instrumented and plain, outside
-    its wall: ``PROBE_INPUTS`` of them after an untraced pass, all of them
-    after a traced one, whose plain seconds are ``subjects.body_s``.
+    The probe re-runs the first ``probe`` trials of the pass, instrumented
+    and plain, outside its wall: ``PROBE_INPUTS`` of them after an
+    untraced pass, all of them after a pass of a traced run, whose plain
+    seconds are ``subjects.body_s``, and none after the one traced pass of
+    an untraced run, which is there only for its gate.
     """
     from repro.core.engine import AnalysisEngine
     from repro.harness.runner import run_trials
@@ -103,9 +106,8 @@ def one_pass(state: dict, k: int, tracer: Tracer = None, work_dir: str = None) -
         reports, truth = run_trials(subject, program, TRIALS, state["plan"], seed=base)
         analysis = engine.analyze_reports(reports, truth)
         wall = time.perf_counter() - start
-    probed = TRIALS if tracer is not None else PROBE_INPUTS
     instrumented_s, plain_s = harness.overhead_block(
-        subject, program, state["plain"], state["plan"], range(base, base + probed))
+        subject, program, state["plain"], state["plan"], range(base, base + probe))
     return {
         "wall": wall,
         "ops": TRIALS,
@@ -114,7 +116,7 @@ def one_pass(state: dict, k: int, tracer: Tracer = None, work_dir: str = None) -
         "rounds": analysis.elimination.iterations,
         "bytes_per_run": _archive_bytes_per_run(analysis, work_dir) if work_dir else None,
         "root": root.id if root is not None else None,
-        "overhead": instrumented_s / plain_s,
+        "overhead": instrumented_s / plain_s if probe else None,
         "body_s": plain_s,
     }
 
@@ -182,7 +184,9 @@ def measure(seed: int, seconds: float, trace: bool, work_dir: str) -> harness.Ou
     tracer = Tracer()
     untraced, traced = harness.measure_passes(
         TRACED_SETS if trace else SETS,
-        lambda k, t: one_pass(state, k, t, work_dir=None if t is not None else work_dir),
+        lambda k, t: one_pass(
+            state, k, t, work_dir=None if t is not None else work_dir,
+            probe=PROBE_INPUTS if t is None else TRIALS if trace else 0),
         seconds, trace, tracer, between=setups.extra)
     gates = [setups.gate()]
     state["digests"] = [reps[0]["digest"] for reps in untraced]
@@ -195,7 +199,7 @@ def measure(seed: int, seconds: float, trace: bool, work_dir: str) -> harness.Ou
     )
     outcome = harness.Outcome(
         end_to_end={
-            "setup_s": setups.median("setup_s"),
+            "setup_s": setups.scaled_median("setup_s"),
             "isolate_s": isolate_s,
             "runs_per_s": TRIALS / isolate_s,
             "overhead_x": statistics.median(r["overhead"] for r in runs),
@@ -206,7 +210,7 @@ def measure(seed: int, seconds: float, trace: bool, work_dir: str) -> harness.Ou
         attempted=sum(r["ops"] for r in runs),
         failed=0,
         gates=gates,
-        notes={"passes": len(runs)},
+        notes={"passes": len(runs), **harness.host_notes(runs, setups)},
     )
     if not trace:
         return outcome
@@ -221,7 +225,7 @@ def measure(seed: int, seconds: float, trace: bool, work_dir: str) -> harness.Ou
     gates.append(harness.gate_same("moss ranked list, plain vs counting wrappers",
                                    [state["digests"][0], counted_digest]))
     opportunities = counts["branch"] + counts["ret"] + counts["operands"]
-    traced_wall = harness.wall_of(traced)
+    traced_wall = harness.wall_of(traced, scaled=False)
     outcome.per_layer = {
         "instrument.build_s": setups.median("build_s"),
         "subjects.generate_input_s": layers.get("subjects.generate_input", 0.0),
@@ -245,7 +249,7 @@ def measure(seed: int, seconds: float, trace: bool, work_dir: str) -> harness.Ou
         "core.elimination.rounds": statistics.median(r["rounds"] for _, r in passes),
         "residual_s": statistics.median(b.residual_s for b in splits),
         "trace.wall_s": traced_wall,
-        "trace.overhead_x": traced_wall / isolate_s,
+        "trace.overhead_x": traced_wall / harness.wall_of(untraced, scaled=False),
     }
     outcome.trace = {"spans": tracer.spans, "passes": [r["root"] for _, r in passes]}
     return outcome

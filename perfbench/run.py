@@ -3,7 +3,7 @@
 
 From the repository root::
 
-    python3 perfbench/run.py --workload moss-collect --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload moss-collect --seed 0 --seconds 25 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics, measured with tracing off;
 ``--trace 1`` prints the per-layer metrics of a traced run and writes its

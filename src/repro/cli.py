@@ -95,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--top", type=int, default=15, help="max predictors to report")
     run.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes (default 1, unified across subcommands; "
-        "output is bit-identical for every value)",
+        help="trial-collection worker processes (default 1; output is "
+        "bit-identical for every value)",
     )
     run.add_argument(
         "--html",
@@ -142,9 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     collect.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes (default 1, unified across subcommands; "
-        "each writes its shards directly to disk, bit-identical for "
-        "every value)",
+        help="trial-collection worker processes (default 1; each writes "
+        "its shards directly to disk, bit-identical for every value)",
     )
     collect.add_argument(
         "--chunk-size", type=int, default=200, help="trials per shard"
@@ -209,11 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--profile", action="store_true",
         help="print a timer/counter profile of the analysis to stderr",
-    )
-    analyze.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (default 1, unified across subcommands; "
-        "output is bit-identical for every value)",
     )
     analyze.add_argument(
         "--measure", choices=list(measures.available()),
@@ -452,13 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     bakeoff.add_argument(
         "--runs", type=int, default=None,
         help="deterministic full-observation trials per subject "
-        "(default: 400)",
+        "(default: 400 for builtin subjects, the trial budget for "
+        "factory subjects; see `list --json`)",
     )
     bakeoff.add_argument("--seed", type=int, default=0, help="base trial seed")
-    bakeoff.add_argument(
-        "--jobs", type=int, default=1,
-        help="scoring worker processes (matrix is identical for every value)",
-    )
     bakeoff.add_argument(
         "--json", action="store_true",
         help="emit the repro-bakeoff/v1 document on stdout instead of a table",
@@ -992,7 +983,6 @@ def _bakeoff(args) -> int:
         measure_names=args.measures,
         runs=args.runs,
         seed=args.seed,
-        jobs=args.jobs,
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -1062,12 +1052,9 @@ def _analyze_store(args) -> int:
         if store.n_shards == 0:
             print("audit left no usable shards; nothing to analyse", file=sys.stderr)
             return 1
-    # All analysis goes through the engine -- at --jobs 1 the same
-    # partitioned code path runs inline, so serial and parallel output
-    # cannot drift apart.  Pruning needs only the sufficient statistics,
-    # streamed shard by shard; no run matrix is materialised for it.
-    engine = AnalysisEngine(jobs=args.jobs)
-    analysis = engine.analyze_store(
+    # Pruning needs only the sufficient statistics, streamed shard by
+    # shard; no run matrix is materialised for it.
+    analysis = AnalysisEngine().analyze_store(
         store,
         method=args.method,
         strategy=DiscardStrategy(args.strategy),
@@ -1131,7 +1118,7 @@ def _analyze(args) -> int:
         f"{reports.n_predicates} predicates",
         file=sys.stderr,
     )
-    analysis = AnalysisEngine(jobs=args.jobs).analyze_reports(
+    analysis = AnalysisEngine().analyze_reports(
         reports,
         truth=truth,
         method=args.method,

@@ -5,7 +5,7 @@ per-predicate sufficient statistics (:class:`repro.core.scores.PredicateScores`,
 itself a function of ``F``, ``S``, ``F_obs``, ``S_obs``, ``NumF``,
 ``NumS``) to a per-predicate suspiciousness array.  Registering a measure
 makes it available everywhere scoring happens: ``analyze --measure NAME``,
-the parallel :class:`~repro.core.engine.AnalysisEngine`, the collection
+the :class:`~repro.core.engine.AnalysisEngine`, the collection
 daemon's ``GET /scores?measure=NAME``, federated scoring, and the
 ``repro-cbi bakeoff`` evaluation harness.
 
@@ -14,10 +14,11 @@ Two contracts every measure must honour:
 * **Elementwise over sufficient statistics.**  A measure may read any
   per-predicate count/score array and the population totals
   (``num_failing`` / ``num_successful``), but the value it assigns to
-  predicate ``i`` must depend only on row ``i`` and those totals.  This is
-  what makes measure values invariant under the engine's predicate
-  partitioning, so serial, ``--jobs N``, service, and federated scoring
-  are bit-identical by construction.
+  predicate ``i`` must depend only on row ``i`` and those totals.  Each
+  value is then a function of integer counts that add exactly across
+  shards and stores, so ``analyze``, service, and federated scoring are
+  bit-identical by construction, whatever the shard layout or store
+  split.
 * **No NaN / no inf.**  Undefined quantities score ``0.0``, matching the
   repo-wide convention of :mod:`repro.core.scores`; ranking code never
   needs NaN handling.

@@ -68,10 +68,8 @@ def prune_mask(
 
     Every term -- the interval bound, the z-test p-value, the ``defined``
     and support masks -- is computed per predicate with no cross-predicate
-    interaction, so applying this to any predicate-axis slice of the
-    scores and concatenating gives bit-identical results to applying it
-    to the whole table.  That property is what lets the parallel engine
-    (:mod:`repro.core.engine`) prune partitions independently;
+    interaction.  The analysis engine (:mod:`repro.core.engine`) applies
+    it to scores computed from streamed sufficient statistics;
     :func:`prune_predicates` wraps the same mask with bookkeeping.
     """
     if method == "interval":

@@ -102,9 +102,10 @@ def rank_from_scores(
     The scores may come from anywhere that produces a
     :class:`~repro.core.scores.PredicateScores` -- a materialised
     population, incrementally accumulated shard statistics
-    (``SufficientStats.to_scores``), or the parallel engine's
-    predicate-partitioned scoring -- which is what lets ``analyze
-    --stats-only`` rank a store without reconstructing a single run.
+    (``SufficientStats.to_scores``), or the analysis engine's
+    :meth:`~repro.core.engine.AnalysisEngine.score_stats` -- which is
+    what lets ``analyze --stats-only`` rank a store without
+    reconstructing a single run.
 
     Ties in the sort key resolve in predicate-index order: the stable
     descending argsort keeps equal-key predicates in their original

@@ -60,7 +60,10 @@ def run_one_trial(
     stack = None
     try:
         output = entry(trial_input)
-    except Exception as exc:  # crash: any uncaught exception
+    except (Exception, SystemExit) as exc:
+        # Any uncaught exception is a crash, and so is a subject calling
+        # sys.exit() (signature ends "SystemExit"); KeyboardInterrupt
+        # still propagates.
         failed = True
         stack = crash_stack(exc, program.filename)
     else:
@@ -191,7 +194,7 @@ def collect_site_means(
         program.begin_run(SamplingPlan.full(), seed=seed + i + 1)
         try:
             entry(trial_input)
-        except Exception:
+        except (Exception, SystemExit):
             pass  # training only measures coverage; outcomes are irrelevant
         site_obs, _ = program.end_run()
         subject_base.end_truth_capture()

@@ -132,7 +132,7 @@ class CollectionService:
         self.table = store.table()
         self.lock = threading.RLock()
         self.metrics = MetricsRegistry()
-        self.engine = AnalysisEngine(jobs=1)
+        self.engine = AnalysisEngine()
         self.started_at = time.time()
         self._upload_counter = 0
         self.steering_enabled = steering

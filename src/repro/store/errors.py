@@ -31,9 +31,8 @@ class ShardCorruptionError(StoreError):
 
     def __reduce__(self):
         # BaseException pickles as ``cls(*self.args)``, which breaks for
-        # multi-argument constructors; these errors cross process
-        # boundaries (analysis-engine workers raise them inside a pool
-        # map), so spell out the real constructor arguments.
+        # multi-argument constructors; spell out the real constructor
+        # arguments so these errors survive a process boundary.
         return (type(self), (self.filename, self.detail))
 
 

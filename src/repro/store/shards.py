@@ -56,7 +56,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.io import (
     FORMAT_VERSION,
@@ -115,11 +115,9 @@ def shard_filename(seed_start: int) -> str:
 def load_entry_stats(directory: str, entry: "ShardEntry", table_sha: str) -> SufficientStats:
     """Load and verify one committed shard's embedded sufficient statistics.
 
-    The single per-shard step of the streaming scorer, factored out at
-    module level so the serial loop (:meth:`ShardStore.sufficient_stats`)
-    and the parallel engine's forked workers
-    (:mod:`repro.core.engine`) run the *same* bytes-to-counts code --
-    including the missing-file, unreadable and table-mismatch errors.
+    The single per-shard step of the streaming scorer
+    (:func:`sum_entry_stats`), including the missing-file, unreadable
+    and table-mismatch errors.
 
     Raises:
         StaleManifestError: The shard file is missing.
@@ -155,6 +153,34 @@ def load_entry_stats(directory: str, entry: "ShardEntry", table_sha: str) -> Suf
         num_failing=num_failing,
         num_successful=num_successful,
     )
+
+
+def sum_entry_stats(
+    shards: Iterable[Tuple[str, "ShardEntry", str]]
+) -> SufficientStats:
+    """Stream ``(directory, entry, table_sha)`` shards into one sum.
+
+    The one accumulation loop of the streaming scorer: a single store
+    (:meth:`ShardStore.sufficient_stats`) and a federation of stores
+    (:meth:`repro.core.engine.AnalysisEngine.multi_store_stats`) both
+    stream through it, so every shard is verified by
+    :func:`load_entry_stats` and counted in ``store.shards_streamed``.
+
+    Raises:
+        ValueError: ``shards`` is empty.
+        StaleManifestError, ShardCorruptionError, ShardIntegrityError:
+            As :func:`load_entry_stats`.
+    """
+    total: Optional[SufficientStats] = None
+    with _obs_timer("store.stream_stats"):
+        for directory, entry, table_sha in shards:
+            part = load_entry_stats(directory, entry, table_sha)
+            # v3 parts are read-only file-mapping views; seed the
+            # accumulator with a writable copy before += kicks in.
+            total = part.materialized() if total is None else total.add(part)
+    if total is None:
+        raise ValueError("cannot score an empty shard store")
+    return total
 
 
 def pending_name(filename: str) -> str:
@@ -853,7 +879,7 @@ class ShardStore:
                 truth_out = GroundTruth.merge([t for t in truths if t is not None])
             return merged, truth_out
 
-    def sufficient_stats(self, jobs: int = 1) -> SufficientStats:
+    def sufficient_stats(self) -> SufficientStats:
         """Accumulate scoring statistics across shards, streaming.
 
         Format-v3 shards are memory-mapped and only the statistic
@@ -863,13 +889,6 @@ class ShardStore:
         memory is bounded by one predicate-length array set regardless
         of how many runs the store holds.
 
-        Args:
-            jobs: With ``jobs > 1``, disjoint shard subsets stream in
-                that many forked workers and the partial sums tree-merge
-                in the parent (:mod:`repro.core.engine`).  The counts are
-                integers, so the result is bit-identical to the serial
-                stream for every worker count.
-
         Raises:
             StaleManifestError: A committed shard file is missing.
             ShardCorruptionError: A shard's bytes fail to parse.
@@ -878,38 +897,13 @@ class ShardStore:
                 :meth:`audit` quarantines the offender so a retry
                 proceeds over the survivors.
         """
-        if not self.manifest.shards:
-            raise ValueError("cannot score an empty shard store")
-        if jobs > 1:
-            from repro.core.engine import AnalysisEngine
+        table_sha = self.manifest.table_sha
+        return sum_entry_stats(
+            (self.directory, entry, table_sha) for entry in self.manifest.shards
+        )
 
-            return AnalysisEngine(jobs=jobs).store_stats(self)
-        total: Optional[SufficientStats] = None
-        with _obs_timer("store.stream_stats"):
-            for entry in self.manifest.shards:
-                part = load_entry_stats(
-                    self.directory, entry, self.manifest.table_sha
-                )
-                # v3 parts are read-only file-mapping views; seed the
-                # accumulator with a writable copy before += kicks in.
-                total = part.materialized() if total is None else total.add(part)
-        assert total is not None
-        return total
-
-    def compute_scores(
-        self, confidence: float = DEFAULT_CONFIDENCE, jobs: int = 1
-    ) -> PredicateScores:
-        """Score the whole store incrementally (see :mod:`repro.store.incremental`).
-
-        With ``jobs > 1`` both halves run through the parallel engine --
-        shard streaming over run subsets, then scoring over predicate
-        partitions -- with bit-identical results (the engine's contract).
-        """
-        if jobs > 1:
-            from repro.core.engine import AnalysisEngine
-
-            engine = AnalysisEngine(jobs=jobs, confidence=confidence)
-            return engine.scores_from_stats(engine.store_stats(self))
+    def compute_scores(self, confidence: float = DEFAULT_CONFIDENCE) -> PredicateScores:
+        """Score the whole store incrementally (see :mod:`repro.store.incremental`)."""
         return self.sufficient_stats().to_scores(confidence=confidence)
 
     def __repr__(self) -> str:

@@ -1,16 +1,17 @@
-"""Differential suite: ``analyze --jobs N`` is bit-identical to serial.
+"""Differential suite: ``analyze`` is bit-identical across shard layouts.
 
-The engine's contract (``repro/core/engine.py``) is that worker count,
-shard layout and discard strategy never change a single output bit:
+The engine's contract (``repro/core/engine.py``) is that the shard
+layout and discard strategy never change a single output bit against
+the monolithic computation over the same population:
 
 * sufficient statistics -- integer equality across shard layouts
-  {1, 3, 7} and ``--jobs`` {1, 2, 4}, for all five subjects;
+  {1, 3, 7}, for all five subjects;
 * scores, p-values, pruning -- *bitwise* float equality (``tobytes``,
-  not ``allclose``) against the serial streaming path;
+  not ``allclose``) against scoring the in-memory population;
 * elimination rankings -- identical predictor sequences, importances and
   populations under every discard strategy, with Importance ties
-  resolving in predicate-index order at every worker count;
-* the CLI -- byte-identical stdout for ``--jobs 1`` vs ``--jobs 4``.
+  resolving in predicate-index order;
+* the CLI -- byte-identical stdout over a 1-shard and a 7-shard store.
 
 These tests are the enforcement arm of the determinism contract
 documented in ``docs/ALGORITHM.md``; weakening any equality here to a
@@ -23,15 +24,16 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.engine import AnalysisEngine, concat_scores, partition_bounds
+from repro.core.engine import AnalysisEngine
 from repro.core.elimination import DiscardStrategy, eliminate
-from repro.core.scores import compute_scores
+from repro.core.pruning import prune_mask
+from repro.core.scores import compute_scores, z_test_pvalues
 from repro.core.truth import bugs_covered
 from repro.instrument.sampling import SamplingPlan
 from repro.store import ShardStore
 from repro.store.incremental import SufficientStats
 
-from tests.helpers import make_reports
+from tests.helpers import make_reports, partition_bounds
 
 #: Session-scoped experiment fixtures covering all five paper subjects.
 SUBJECT_FIXTURES = [
@@ -43,7 +45,6 @@ SUBJECT_FIXTURES = [
 ]
 
 SHARD_LAYOUTS = (1, 3, 7)
-JOB_COUNTS = (1, 2, 4)
 
 #: Per-predicate float arrays of PredicateScores, all compared bitwise.
 _SCORE_FIELDS = (
@@ -115,35 +116,28 @@ def _assert_stats_equal(got, want):
 @pytest.mark.parametrize("subject_fixture", SUBJECT_FIXTURES)
 class TestScoresBitIdentical:
     def test_stats_scores_and_pruning(self, request, sharded_stores, subject_fixture):
-        """Full layout x jobs matrix: statistics, scores, p-values and
-        pruned sets match the serial stream bit for bit."""
-        stores = sharded_stores(request, subject_fixture)
-        reference = stores[SHARD_LAYOUTS[0]].sufficient_stats()
-        ref_scores = reference.to_scores()
-        for layout, store in stores.items():
-            serial = store.sufficient_stats()
-            _assert_stats_equal(serial, reference)
-            for jobs in JOB_COUNTS:
-                engine = AnalysisEngine(jobs=jobs)
-                stats = engine.store_stats(store)
-                _assert_stats_equal(stats, serial)
-                scoring = engine.score_stats(stats)
-                _assert_scores_bitwise_equal(scoring.scores, ref_scores)
-                np.testing.assert_array_equal(
-                    scoring.pruning.kept,
-                    AnalysisEngine(jobs=1).score_stats(serial).pruning.kept,
-                )
+        """Every shard layout: statistics, scores and pruned sets match
+        the monolithic population bit for bit."""
+        reports = request.getfixturevalue(subject_fixture).reports
+        reference = SufficientStats.from_reports(reports)
+        ref_scores = compute_scores(reports)
+        ref_kept = prune_mask(ref_scores)
+        engine = AnalysisEngine()
+        for store in sharded_stores(request, subject_fixture).values():
+            stats = engine.store_stats(store)
+            _assert_stats_equal(stats, reference)
+            scoring = engine.score_stats(stats)
+            _assert_scores_bitwise_equal(scoring.scores, ref_scores)
+            np.testing.assert_array_equal(scoring.pruning.kept, ref_kept)
 
     def test_pvalues_bitwise(self, request, sharded_stores, subject_fixture):
-        """The z-test p-values survive predicate partitioning bitwise."""
-        from repro.core.scores import z_test_pvalues
-
-        store = sharded_stores(request, subject_fixture)[3]
-        stats = store.sufficient_stats()
-        serial = z_test_pvalues(stats.to_scores())
-        for jobs in JOB_COUNTS:
-            scoring = AnalysisEngine(jobs=jobs).score_stats(stats)
-            assert scoring.pvalues.tobytes() == serial.tobytes()
+        """The z-test p-values of every shard layout match bitwise."""
+        reports = request.getfixturevalue(subject_fixture).reports
+        reference = z_test_pvalues(compute_scores(reports))
+        engine = AnalysisEngine()
+        for store in sharded_stores(request, subject_fixture).values():
+            scoring = engine.score_stats(engine.store_stats(store))
+            assert scoring.pvalues.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("subject_fixture", SUBJECT_FIXTURES)
@@ -152,23 +146,18 @@ class TestEliminationBitIdentical:
     def test_rankings_match_serial(
         self, request, sharded_stores, subject_fixture, strategy
     ):
-        """End-to-end analyze at every worker count reproduces the serial
-        elimination ranking exactly -- order, importances, populations."""
-        store = sharded_stores(request, subject_fixture)[3]
-        reports, _ = store.load_merged()
-        scores = compute_scores(reports)
-        serial_pruning = AnalysisEngine(jobs=1).score_stats(
-            SufficientStats.from_reports(reports)
-        ).pruning
+        """End-to-end analyze over every shard layout reproduces the
+        in-memory elimination ranking exactly -- order, importances,
+        populations."""
+        reports = request.getfixturevalue(subject_fixture).reports
         reference = eliminate(
             reports,
-            candidates=serial_pruning.kept,
+            candidates=prune_mask(compute_scores(reports)),
             strategy=strategy,
             max_predictors=6,
         )
-        assert scores.n_predicates == reports.n_predicates
-        for jobs in JOB_COUNTS:
-            analysis = AnalysisEngine(jobs=jobs).analyze_store(
+        for store in sharded_stores(request, subject_fixture).values():
+            analysis = AnalysisEngine().analyze_store(
                 store, strategy=strategy, max_predictors=6
             )
             got = analysis.elimination
@@ -191,47 +180,33 @@ class TestEliminationBitIdentical:
 
 
 class TestCliStdoutIdentical:
-    def test_jobs_flag_does_not_change_output(
+    def _stdout(self, capsys, store, *flags):
+        code = cli_main(["analyze", store.directory, "--no-audit", *flags])
+        assert code == 0
+        return capsys.readouterr().out
+
+    def test_shard_layout_does_not_change_output(
         self, request, sharded_stores, capsys
     ):
-        """``analyze --jobs 4`` prints byte-identical stdout to serial."""
-        store = sharded_stores(request, "ccrypt_experiment")[7]
-        outputs = {}
-        for jobs in (1, 4):
-            code = cli_main(
-                ["analyze", store.directory, "--jobs", str(jobs), "--no-audit"]
-            )
-            assert code == 0
-            outputs[jobs] = capsys.readouterr().out
-        assert outputs[1] == outputs[4]
+        """``analyze`` prints byte-identical stdout over 1 and 7 shards."""
+        stores = sharded_stores(request, "ccrypt_experiment")
+        assert self._stdout(capsys, stores[1]) == self._stdout(capsys, stores[7])
 
     def test_stats_only_identical(self, request, sharded_stores, capsys):
-        store = sharded_stores(request, "bc_experiment")[3]
-        outputs = {}
-        for jobs in (1, 4):
-            code = cli_main(
-                [
-                    "analyze",
-                    store.directory,
-                    "--jobs",
-                    str(jobs),
-                    "--stats-only",
-                    "--no-audit",
-                ]
-            )
-            assert code == 0
-            outputs[jobs] = capsys.readouterr().out
-        assert outputs[1] == outputs[4]
+        stores = sharded_stores(request, "bc_experiment")
+        assert self._stdout(capsys, stores[1], "--stats-only") == self._stdout(
+            capsys, stores[3], "--stats-only"
+        )
 
 
 class TestTieDeterminism:
-    """Importance ties resolve by predicate index -- serial and parallel."""
+    """Importance ties resolve by predicate index -- in memory and sharded."""
 
     def _tied_reports(self):
         # P1 and P3 are true in exactly the same runs (perfectly
         # correlated duplicates), so their Importance is identical; P0
         # and P2 are weaker noise.  The engine must select the lower
-        # index (1) first at every worker count.  The pattern repeats so
+        # index (1) first over any shard layout.  The pattern repeats so
         # the Increase interval clears zero and survives pruning.
         runs = [
             (True, {1, 3}, None),
@@ -251,6 +226,7 @@ class TestTieDeterminism:
         assert result.selected[0].predicate.index == 1
 
     def test_parallel_matches_serial_under_ties(self, tmp_path):
+        """A 3-shard store ranks the tie exactly like the in-memory run."""
         reports = self._tied_reports()
         store = ShardStore.create(
             str(tmp_path / "tied"), "tied", reports.table, SamplingPlan.full()
@@ -260,18 +236,17 @@ class TestTieDeterminism:
             mask[lo:hi] = True
             store.append_shard(reports.subset(mask), seed_start=lo)
         store = ShardStore.open(store.directory)
-        picks = {}
-        for jobs in JOB_COUNTS:
-            analysis = AnalysisEngine(jobs=jobs).analyze_store(store)
-            picks[jobs] = [s.predicate.index for s in analysis.elimination.selected]
-        assert picks[1][0] == 1
-        assert picks[1] == picks[2] == picks[4]
+        sharded = AnalysisEngine().analyze_store(store).elimination
+        in_memory = AnalysisEngine().analyze_reports(reports).elimination
+        picks = [s.predicate.index for s in sharded.selected]
+        assert picks[0] == 1
+        assert picks == [s.predicate.index for s in in_memory.selected]
 
 
 class TestLemma31ThroughEngine:
     def test_every_intersecting_bug_covered(self, tmp_path):
-        """Lemma 3.1 holds through the parallel path: every bug whose
-        profile intersects the predicated runs gets a predictor."""
+        """Lemma 3.1 holds through the sharded store path: every bug
+        whose profile intersects the predicated runs gets a predictor."""
         from repro.core.truth import GroundTruth
 
         # Two disjoint bugs, each with a faithful predictor, plus noise;
@@ -303,17 +278,14 @@ class TestLemma31ThroughEngine:
                 reports.subset(mask), truth=truth.subset(mask), seed_start=lo
             )
         store = ShardStore.open(store.directory)
-        for jobs in JOB_COUNTS:
-            analysis = AnalysisEngine(jobs=jobs).analyze_store(store)
-            selected = [s.predicate.index for s in analysis.elimination.selected]
-            covered = bugs_covered(
-                analysis.reports, analysis.truth, selected
-            )
-            assert set(covered) == {"bug-a", "bug-b"}
+        analysis = AnalysisEngine().analyze_store(store)
+        selected = [s.predicate.index for s in analysis.elimination.selected]
+        covered = bugs_covered(analysis.reports, analysis.truth, selected)
+        assert set(covered) == {"bug-a", "bug-b"}
 
 
 class TestEngineUnit:
-    """Direct engine coverage: partitioning, concatenation, errors."""
+    """Direct engine coverage: shard-layout cuts, errors, edge cases."""
 
     def test_partition_bounds_cover_exactly(self):
         for n in (0, 1, 2, 5, 17, 100):
@@ -328,31 +300,41 @@ class TestEngineUnit:
         with pytest.raises(ValueError, match="negative"):
             partition_bounds(-1, 2)
 
-    def test_concat_scores_roundtrip(self):
-        reports = make_reports(
-            5,
-            [(True, {0, 1}, None), (True, {2}, None), (False, {3}, None)],
-        )
-        stats = SufficientStats.from_reports(reports)
-        whole = stats.to_scores()
-        parts = [
-            stats.slice_predicates(lo, hi).to_scores()
-            for lo, hi in partition_bounds(stats.n_predicates, 3)
-        ]
-        _assert_scores_bitwise_equal(concat_scores(parts), whole)
-
-    def test_concat_scores_single_part_passthrough(self):
-        reports = make_reports(2, [(True, {0}, None), (False, {1}, None)])
-        scores = SufficientStats.from_reports(reports).to_scores()
-        assert concat_scores([scores]) is scores
-
-    def test_concat_scores_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            concat_scores([])
-
     def test_engine_rejects_bad_jobs(self):
-        with pytest.raises(ValueError, match="jobs"):
-            AnalysisEngine(jobs=0)
+        for jobs in (0, 2, 4):
+            with pytest.raises(ValueError, match="jobs"):
+                AnalysisEngine(jobs=jobs)
+        assert AnalysisEngine(jobs=1).confidence == AnalysisEngine().confidence
+
+    def test_multi_store_stats_sums_stores(self, tmp_path):
+        """Two stores stream as one population; mixed tables are refused."""
+        reports = make_reports(
+            3, [(True, {0}, None), (False, {1}, None), (True, {2}, None)]
+        )
+        stores = []
+        for name, (lo, hi) in zip("ab", partition_bounds(reports.n_runs, 2)):
+            store = ShardStore.create(
+                str(tmp_path / name), "multi", reports.table, SamplingPlan.full()
+            )
+            mask = np.zeros(reports.n_runs, dtype=bool)
+            mask[lo:hi] = True
+            store.append_shard(reports.subset(mask), seed_start=lo)
+            stores.append(ShardStore.open(store.directory))
+        engine = AnalysisEngine()
+        _assert_stats_equal(
+            engine.multi_store_stats(stores), SufficientStats.from_reports(reports)
+        )
+        _assert_scores_bitwise_equal(
+            engine.federated_scores(stores).scores, compute_scores(reports)
+        )
+        with pytest.raises(ValueError, match="at least one store"):
+            engine.multi_store_stats([])
+        other = make_reports(4, [(True, {0}, None)])
+        foreign = ShardStore.create(
+            str(tmp_path / "c"), "multi", other.table, SamplingPlan.full()
+        )
+        with pytest.raises(ValueError, match="predicate table"):
+            engine.multi_store_stats(stores + [foreign])
 
     def test_empty_store_rejected(self, tmp_path):
         reports = make_reports(2, [(True, {0}, None)])
@@ -360,19 +342,19 @@ class TestEngineUnit:
             str(tmp_path / "empty"), "empty", reports.table, SamplingPlan.full()
         )
         with pytest.raises(ValueError, match="empty shard store"):
-            AnalysisEngine(jobs=2).store_stats(store)
+            AnalysisEngine().store_stats(store)
 
     def test_analyze_reports_stats_only(self):
         reports = make_reports(
             3, [(True, {0}, None), (True, {0, 1}, None), (False, {2}, None)]
         )
-        analysis = AnalysisEngine(jobs=2).analyze_reports(reports, stats_only=True)
+        analysis = AnalysisEngine().analyze_reports(reports, stats_only=True)
         assert analysis.elimination is None
         reference = compute_scores(reports)
         _assert_scores_bitwise_equal(analysis.scores, reference)
 
     def test_corruption_surfaces_from_workers(self, tmp_path):
-        """A damaged shard raises the same typed error through the pool."""
+        """A damaged shard raises a typed error naming the shard."""
         from repro.store.errors import StoreError
 
         reports = make_reports(
@@ -390,7 +372,6 @@ class TestEngineUnit:
         with open(victim, "r+b") as fh:
             fh.seek(30)
             fh.write(b"\xff\xff\xff\xff")
-        for jobs in (1, 2):
-            with pytest.raises(StoreError) as exc_info:
-                AnalysisEngine(jobs=jobs).store_stats(store)
-            assert "shard" in str(exc_info.value)
+        with pytest.raises(StoreError) as exc_info:
+            AnalysisEngine().store_stats(store)
+        assert "shard" in str(exc_info.value)

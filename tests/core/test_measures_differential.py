@@ -4,8 +4,8 @@ The tentpole contract of the measure registry: for any registered
 suspiciousness measure ``m`` and any subject population, the per-predicate
 value arrays agree **bitwise** (``tobytes``, never ``allclose``) across
 
-* serial scoring (``AnalysisEngine(jobs=1).score_stats``),
-* the parallel engine at ``--jobs`` {2, 4},
+* the monolithic in-memory population,
+* streamed scoring of a 3-shard store (``AnalysisEngine.score_stats``),
 * the collection daemon's ``GET /scores?measure=m`` payload, and
 * ``federated_scores`` over a two-store split of the same seeds,
 
@@ -24,10 +24,13 @@ import numpy as np
 import pytest
 
 from repro.core import measures
-from repro.core.engine import AnalysisEngine, partition_bounds
+from repro.core.engine import AnalysisEngine
 from repro.core.importance import importance_scores
 from repro.instrument.sampling import SamplingPlan
 from repro.store import ShardStore
+from repro.store.incremental import SufficientStats
+
+from tests.helpers import partition_bounds
 
 SUBJECT_FIXTURES = [
     "moss_experiment",
@@ -36,8 +39,6 @@ SUBJECT_FIXTURES = [
     "exif_experiment",
     "rhythmbox_experiment",
 ]
-
-JOB_COUNTS = (2, 4)
 
 
 def _build_store(directory, experiment, n_shards, lo_runs=0, hi_runs=None):
@@ -83,23 +84,24 @@ def measure_stores(tmp_path_factory):
 @pytest.mark.parametrize("subject_fixture", SUBJECT_FIXTURES)
 class TestMeasureBitIdentity:
     def test_serial_vs_jobs(self, request, measure_stores, subject_fixture):
-        """Every measure: jobs {2,4} values == serial values, bitwise."""
+        """Every measure: streamed 3-shard values == in-memory values,
+        bitwise."""
         stores = measure_stores(request, subject_fixture)
-        stats = AnalysisEngine(jobs=1).store_stats(stores["whole"])
+        engine = AnalysisEngine()
+        streamed = engine.store_stats(stores["whole"])
+        in_memory = SufficientStats.from_reports(stores["experiment"].reports)
         for name in measures.available():
-            serial = AnalysisEngine(jobs=1).score_stats(stats, measure=name)
-            assert serial.measure == name
-            for jobs in JOB_COUNTS:
-                parallel = AnalysisEngine(jobs=jobs).score_stats(stats, measure=name)
-                assert (
-                    parallel.measure_values.tobytes()
-                    == serial.measure_values.tobytes()
-                ), (name, jobs)
+            got = engine.score_stats(streamed, measure=name)
+            assert got.measure == name
+            want = engine.score_stats(in_memory, measure=name)
+            assert (
+                got.measure_values.tobytes() == want.measure_values.tobytes()
+            ), name
 
     def test_federated_vs_single_store(self, request, measure_stores, subject_fixture):
         """Every measure: federated two-store scoring == whole store, bitwise."""
         stores = measure_stores(request, subject_fixture)
-        engine = AnalysisEngine(jobs=1)
+        engine = AnalysisEngine()
         whole_stats = engine.store_stats(stores["whole"])
         for name in measures.available():
             whole = engine.score_stats(whole_stats, measure=name)
@@ -117,7 +119,7 @@ class TestMeasureBitIdentity:
         stores = measure_stores(request, subject_fixture)
         experiment = stores["experiment"]
         service = CollectionService(stores["whole"], experiment.config.subject)
-        engine = AnalysisEngine(jobs=1)
+        engine = AnalysisEngine()
         stats = engine.store_stats(stores["whole"])
         for name in measures.available():
             scoring = engine.score_stats(stats, measure=name)
@@ -142,8 +144,8 @@ class TestMeasureBitIdentity:
         service = CollectionService(stores["whole"], experiment.config.subject)
         payload = service.scores_payload(k=10)
         assert payload["measure"] == "importance"
-        stats = AnalysisEngine(jobs=1).store_stats(stores["whole"])
-        scoring = AnalysisEngine(jobs=1).score_stats(stats)
+        engine = AnalysisEngine()
+        scoring = engine.score_stats(engine.store_stats(stores["whole"]))
         imp = importance_scores(scoring.scores).importance
         for p in payload["predicates"]:
             assert p["score"] == p["importance"] == float(imp[p["index"]])

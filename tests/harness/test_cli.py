@@ -333,9 +333,13 @@ class TestJobsDefaultsUnified:
         for argv in (
             ["run", "--subject", "ccrypt"],
             ["collect", "--subject", "ccrypt", "--out", "x"],
-            ["analyze", "store"],
         ):
             assert parser.parse_args(argv).jobs == 1, argv
+        # Analysis is serial: only the collecting subcommands take --jobs.
+        for argv in (["analyze", "store"], ["bakeoff"]):
+            assert not hasattr(parser.parse_args(argv), "jobs"), argv
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + ["--jobs", "2"])
 
     def test_runs_defaults_to_subject_budget(self):
         parser = build_parser()

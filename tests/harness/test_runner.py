@@ -106,3 +106,87 @@ class TestTraining:
         # Sites in this tiny program are reached far fewer than 100
         # times per run, so every rate should be 1.0.
         assert (plan.site_rates == 1.0).all()
+
+
+#: A subject that calls sys.exit(3) on negative input, or raises
+#: KeyboardInterrupt when the input is the sentinel 99.
+_EXIT_SOURCE = '''
+import sys
+
+from repro.subjects.base import record_bug
+
+def main(value):
+    if value == 99:
+        raise KeyboardInterrupt
+    if value < 0:
+        record_bug("exit")
+        sys.exit(3)
+    return value * 2
+'''
+
+
+class ExitingSubject(Subject):
+    name = "exiting"
+    entry = "main"
+    bug_ids = ("exit",)
+
+    def source(self):
+        return _EXIT_SOURCE
+
+    def generate_input(self, rng: random.Random):
+        return rng.randint(-3, 10)
+
+
+class InterruptedSubject(ExitingSubject):
+    def generate_input(self, rng: random.Random):
+        return 99
+
+
+def _assert_exits_labelled(reports, truth):
+    failed = [i for i in range(reports.n_runs) if reports.failed[i]]
+    assert failed, "the seeds must include a sys.exit() run"
+    for i in range(reports.n_runs):
+        if reports.failed[i]:
+            assert reports.stacks[i] == ("main", "SystemExit")
+            assert truth.occurrences[i] == frozenset({"exit"})
+        else:
+            assert reports.stacks[i] is None
+            assert not truth.occurrences[i]
+
+
+class TestHostileSubjects:
+    def test_sys_exit_is_a_labelled_crash(self):
+        subject = ExitingSubject()
+        program = subject.build_program()
+        reports, truth = run_trials(subject, program, 40, SamplingPlan.full())
+        assert reports.n_runs == 40
+        _assert_exits_labelled(reports, truth)
+        # The exit left no capture open behind it.
+        from repro.subjects import base
+
+        assert base._CURRENT_SINK is None
+
+    def test_sys_exit_is_a_labelled_crash_in_sharded_workers(self, tmp_path):
+        from repro.harness.parallel import run_trials_sharded
+
+        subject = ExitingSubject()
+        store = run_trials_sharded(
+            subject, 40, SamplingPlan.full(), str(tmp_path / "store"),
+            jobs=2, chunk_size=20, max_attempts=1,
+        )
+        assert store.last_collection.retries == 0
+        reports, truth = store.load_merged()
+        _assert_exits_labelled(reports, truth)
+        serial, _ = run_trials(subject, subject.build_program(), 40, SamplingPlan.full())
+        assert reports.failed.tolist() == serial.failed.tolist()
+
+    def test_sys_exit_does_not_stop_training(self):
+        subject = ExitingSubject()
+        program = subject.build_program()
+        means = collect_site_means(subject, program, 20)
+        assert means.shape == (program.table.n_sites,)
+
+    def test_keyboard_interrupt_propagates(self):
+        subject = InterruptedSubject()
+        with pytest.raises(KeyboardInterrupt):
+            run_trials(subject, subject.build_program(), 1, SamplingPlan.full())

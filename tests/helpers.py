@@ -71,6 +71,28 @@ def make_population(n_preds: int = 4, n_runs: int = 24, seed: int = 0) -> Report
     return make_reports(n_preds, runs)
 
 
+def partition_bounds(n: int, parts: int) -> List[Tuple[int, int]]:
+    """Cut ``range(n)`` into at most ``parts`` contiguous ``[lo, hi)`` slices.
+
+    Deterministic and balanced (sizes differ by at most one, larger
+    slices first), with no empty slices: ``parts`` is clamped to ``n``.
+    Used to cut a population into shard layouts.
+    """
+    if n < 0:
+        raise ValueError(f"cannot partition a negative range ({n})")
+    parts = max(1, min(parts, n))
+    if n == 0:
+        return []
+    base, extra = divmod(n, parts)
+    bounds: List[Tuple[int, int]] = []
+    lo = 0
+    for i in range(parts):
+        hi = lo + base + (1 if i < extra else 0)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
 def split_reports(reports: ReportSet, k: int) -> List[ReportSet]:
     """Partition a report set into k contiguous shards."""
     bounds = np.linspace(0, reports.n_runs, k + 1).astype(int)

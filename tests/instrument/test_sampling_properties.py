@@ -299,12 +299,11 @@ class TestExplicitModeRoundTrip:
 
 
 class TestSufficientStatsPartitionAlgebra:
-    """The parallel engine's algebra: sufficient statistics are additive
-    over *any* run partition and sliceable over *any* predicate
-    partition, with integer (run axis) and bitwise-float (predicate
-    axis) equality to the monolithic computation.  These are the two
-    halves of the ``analyze --jobs`` bit-identity contract
-    (``repro/core/engine.py``)."""
+    """The streaming engine's algebra: sufficient statistics are additive
+    over *any* run partition, in any order, with integer equality to the
+    monolithic computation.  This is why ``analyze`` over any shard
+    layout, and federated scoring over any store split, is bit-identical
+    to scoring the merged population (``repro/core/engine.py``)."""
 
     @staticmethod
     def _random_population(data, max_preds=6, max_runs=40):
@@ -331,7 +330,7 @@ class TestSufficientStatsPartitionAlgebra:
     @settings(max_examples=40, **_SETTINGS)
     @given(data=st.data())
     def test_random_run_partition_merges_to_monolithic(self, data):
-        """Any assignment of runs to parts, merged in any tree shape,
+        """Any assignment of runs to parts, summed part by part,
         reproduces the monolithic counts exactly (integer equality)."""
         from repro.core.scores import sufficient_counts
         from repro.store.incremental import SufficientStats
@@ -344,7 +343,9 @@ class TestSufficientStatsPartitionAlgebra:
             mask = np.array([a == part for a in assignment], dtype=bool)
             if mask.any():
                 parts.append(SufficientStats.from_reports(reports, run_mask=mask))
-        merged = SufficientStats.merge_tree(parts)
+        merged = SufficientStats.zeros(reports.n_predicates)
+        for p in parts:
+            merged.add(p)
 
         F, S, F_obs, S_obs, num_failing, num_successful = sufficient_counts(reports)
         np.testing.assert_array_equal(merged.F, F)
@@ -357,7 +358,8 @@ class TestSufficientStatsPartitionAlgebra:
     @settings(max_examples=40, **_SETTINGS)
     @given(data=st.data())
     def test_merge_shape_independence(self, data):
-        """Tree merge equals left fold over any permutation of parts."""
+        """Sequential ``add`` over any permutation of the parts equals
+        the left fold in partition order: the merge order is free."""
         from repro.store.incremental import SufficientStats
 
         reports, np, n_runs = self._random_population(data)
@@ -370,39 +372,15 @@ class TestSufficientStatsPartitionAlgebra:
         order = data.draw(st.permutations(range(len(parts))))
         shuffled = [parts[i] for i in order]
 
-        tree = SufficientStats.merge_tree([p + SufficientStats.zeros(p.n_predicates) for p in shuffled])
+        shuffled_sum = SufficientStats.zeros(parts[0].n_predicates)
+        for p in shuffled:
+            shuffled_sum.add(p)
         fold = SufficientStats.zeros(parts[0].n_predicates)
         for p in parts:
             fold.add(p)
-        np.testing.assert_array_equal(tree.F, fold.F)
-        np.testing.assert_array_equal(tree.S, fold.S)
-        np.testing.assert_array_equal(tree.F_obs, fold.F_obs)
-        np.testing.assert_array_equal(tree.S_obs, fold.S_obs)
-        assert tree.num_failing == fold.num_failing
-        assert tree.num_successful == fold.num_successful
-
-    @settings(max_examples=40, **_SETTINGS)
-    @given(data=st.data())
-    def test_predicate_slices_score_bitwise(self, data):
-        """Scoring predicate slices and concatenating is bitwise equal
-        to scoring the whole table (the predicate-axis half)."""
-        from repro.core.engine import concat_scores, partition_bounds
-        from repro.store.incremental import SufficientStats
-
-        reports, np, _ = self._random_population(data)
-        stats = SufficientStats.from_reports(reports)
-        parts = data.draw(st.integers(1, 8))
-        whole = stats.to_scores()
-        sliced = concat_scores(
-            [
-                stats.slice_predicates(lo, hi).to_scores()
-                for lo, hi in partition_bounds(stats.n_predicates, parts)
-            ]
-        )
-        for field in (
-            "failure", "context", "increase", "increase_se", "increase_lo",
-            "increase_hi", "pf", "ps", "z", "z_defined", "defined",
-        ):
-            assert getattr(sliced, field).tobytes() == getattr(whole, field).tobytes()
-        np.testing.assert_array_equal(sliced.F, whole.F)
-        np.testing.assert_array_equal(sliced.S, whole.S)
+        np.testing.assert_array_equal(shuffled_sum.F, fold.F)
+        np.testing.assert_array_equal(shuffled_sum.S, fold.S)
+        np.testing.assert_array_equal(shuffled_sum.F_obs, fold.F_obs)
+        np.testing.assert_array_equal(shuffled_sum.S_obs, fold.S_obs)
+        assert shuffled_sum.num_failing == fold.num_failing
+        assert shuffled_sum.num_successful == fold.num_successful
